@@ -25,19 +25,21 @@ pub enum RunFormation {
         block_pages: usize,
     },
     /// Replacement selection whose block-write size tracks the *current*
-    /// memory allocation (roughly one sixth of it, clamped to the given
-    /// bounds). This is the buffer-size-adjustment extension sketched in the
-    /// paper's future work (§7): larger allocations get larger, cheaper block
-    /// writes while small allocations keep the long runs of `repl1`.
-    AdaptiveReplacement {
-        /// Smallest block size ever used (pages).
-        min_block: usize,
-        /// Largest block size ever used (pages).
-        max_block: usize,
-    },
+    /// memory allocation (`adapt`): roughly one sixth of it, clamped to
+    /// [`ADAPTIVE_MIN_BLOCK`](Self::ADAPTIVE_MIN_BLOCK) ..=
+    /// [`ADAPTIVE_MAX_BLOCK`](Self::ADAPTIVE_MAX_BLOCK) pages. This is the
+    /// buffer-size-adjustment extension sketched in the paper's future work
+    /// (§7): larger allocations get larger, cheaper block writes while small
+    /// allocations keep the long runs of `repl1`.
+    AdaptiveReplacement,
 }
 
 impl RunFormation {
+    /// Smallest block `adapt` ever writes (pages).
+    pub const ADAPTIVE_MIN_BLOCK: usize = 1;
+    /// Largest block `adapt` ever writes (pages).
+    pub const ADAPTIVE_MAX_BLOCK: usize = 32;
+
     /// Classic Quicksort run formation.
     pub fn quick() -> Self {
         RunFormation::Quicksort
@@ -55,10 +57,7 @@ impl RunFormation {
 
     /// Replacement selection with memory-tracking block writes (`adapt`).
     pub fn adaptive() -> Self {
-        RunFormation::AdaptiveReplacement {
-            min_block: 1,
-            max_block: 32,
-        }
+        RunFormation::AdaptiveReplacement
     }
 }
 
@@ -67,7 +66,7 @@ impl fmt::Display for RunFormation {
         match self {
             RunFormation::Quicksort => write!(f, "quick"),
             RunFormation::ReplacementSelect { block_pages } => write!(f, "repl{block_pages}"),
-            RunFormation::AdaptiveReplacement { .. } => write!(f, "adapt"),
+            RunFormation::AdaptiveReplacement => write!(f, "adapt"),
         }
     }
 }
@@ -320,14 +319,16 @@ pub struct SortConfig {
     /// arena/zero-copy fast path of [`crate::layout`]; the sorted output is
     /// tuple-for-tuple identical in either layout.
     pub layout: PageLayout,
-    /// Presortedness-aware run formation (default off here; the
-    /// [`SortJob`](crate::job::SortJob) builder turns it on). When enabled,
-    /// replacement-selection formations detect natural runs in the input
-    /// (streaks that already ascend or descend in rank order) and alternate
-    /// ascending/descending output runs, so pre-existing order in *either*
-    /// direction extends runs instead of cutting them. The sorted output is
-    /// tuple-for-tuple identical with the knob on or off; only run boundaries
-    /// (and therefore merge fan-in and I/O volume) change. Quicksort run
+    /// The run policy of replacement-selection formations (default on).
+    /// On, the up/down policy detects natural runs in the input (streaks
+    /// that already ascend or descend in rank order) and lets each run
+    /// ascend or descend with the input's trend, so pre-existing order in
+    /// *either* direction extends runs instead of cutting them. Off, the
+    /// classic policy forms ascending runs only, exactly as the paper
+    /// describes; the simulator (`masort-dbsim`) pins it off so the paper's
+    /// figures reproduce bit-identically. The sorted output is
+    /// tuple-for-tuple identical either way; only run boundaries (and
+    /// therefore merge fan-in and I/O volume) change. Quicksort run
     /// formation ignores the knob.
     pub adaptive_runs: bool,
 }
@@ -335,7 +336,8 @@ pub struct SortConfig {
 impl Default for SortConfig {
     fn default() -> Self {
         // Paper defaults: 8 KB pages, 256 B tuples, M = 0.3 MB ≈ 38 pages,
-        // repl6,opt,split.
+        // repl6,opt,split; the up/down run policy on (the simulator turns
+        // it off).
         SortConfig {
             page_size: 8 * 1024,
             tuple_size: 256,
@@ -346,10 +348,7 @@ impl Default for SortConfig {
             cpu_threads: 1,
             merge_batch: true,
             layout: PageLayout::Owned,
-            // Off by default so the paper's classic algorithms (and every
-            // simulated figure) reproduce bit-identically; `SortJob::builder`
-            // enables it for the real environment.
-            adaptive_runs: false,
+            adaptive_runs: true,
         }
     }
 }
@@ -476,17 +475,6 @@ impl SortConfig {
             if block_pages == 0 {
                 return Err(SortError::invalid_config(
                     "replacement-selection block size must be at least one page",
-                ));
-            }
-        }
-        if let RunFormation::AdaptiveReplacement {
-            min_block,
-            max_block,
-        } = self.algorithm.formation
-        {
-            if min_block == 0 || max_block < min_block {
-                return Err(SortError::invalid_config(
-                    "adaptive replacement needs 1 <= min_block <= max_block",
                 ));
             }
         }
@@ -623,5 +611,22 @@ mod tests {
         assert_eq!(spec.to_string(), "adapt,opt,split");
         let parsed: AlgorithmSpec = "adapt,opt,split".parse().unwrap();
         assert_eq!(parsed, spec);
+        // The block bounds are constants, so the text form loses nothing:
+        // every `adapt` spec survives a `to_string`/`parse` round trip.
+        for policy in [MergePolicy::Naive, MergePolicy::Optimized] {
+            for adaptation in [
+                MergeAdaptation::Suspension,
+                MergeAdaptation::Paging,
+                MergeAdaptation::DynamicSplitting,
+            ] {
+                let spec = AlgorithmSpec::new(RunFormation::adaptive(), policy, adaptation);
+                let text = spec.to_string();
+                assert_eq!(text.parse::<AlgorithmSpec>().unwrap(), spec, "{text}");
+                assert!(SortConfig::default()
+                    .with_algorithm(spec)
+                    .validate()
+                    .is_ok());
+            }
+        }
     }
 }

@@ -93,11 +93,7 @@ impl SortJob<VecSource, MemStore, RealEnv> {
     /// `config.memory_pages` pages.
     pub fn builder() -> SortJobBuilder<TupleInput, MemStore, RealEnv> {
         SortJobBuilder {
-            // Presortedness-adaptive run formation is on for the real
-            // environment; `config()` replaces the whole configuration, so
-            // callers supplying one opt in via `SortConfig::adaptive_runs`
-            // (or the `adaptive_runs` builder method) instead.
-            cfg: SortConfig::default().with_adaptive_runs(true),
+            cfg: SortConfig::default(),
             input: TupleInput(Vec::new()),
             store: MemStore::new(),
             env: RealEnv::new(),
@@ -258,10 +254,7 @@ where
     /// When on, replacement-selection formations detect natural runs in the
     /// input and alternate ascending/descending output runs, so pre-existing
     /// order in either direction makes runs longer and the sort faster. The
-    /// sorted output is identical with the knob on or off. Note that
-    /// [`config`](Self::config) replaces the whole configuration including
-    /// this flag ([`SortConfig::default`] carries `adaptive_runs: false`), so
-    /// call this after `config()` to re-enable it.
+    /// sorted output is identical with the knob on or off.
     pub fn adaptive_runs(mut self, adaptive: bool) -> Self {
         self.cfg.adaptive_runs = adaptive;
         self

@@ -156,7 +156,8 @@ impl Default for SortMergeJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AlgorithmSpec;
+    use crate::config::{AlgorithmSpec, RunFormation};
+    use crate::store::RunDirection;
     use crate::verify::nested_loop_match_count;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -191,13 +192,52 @@ mod tests {
         let left = tuples_with_domain(1500, 400, 1);
         let right = tuples_with_domain(1200, 400, 2);
         let expected = nested_loop_match_count(&left, &right);
-        for spec in AlgorithmSpec::all(4) {
-            let join = SortMergeJoin::new(small_cfg(6, spec));
-            let outcome = join.join_vecs_count(left.clone(), right.clone()).unwrap();
-            assert_eq!(
-                outcome.matches, expected,
-                "algorithm {spec} produced the wrong number of matches"
-            );
+        let presorted = |mut t: Vec<Tuple>| {
+            t.sort_by_key(|t| t.key);
+            t
+        };
+        let reversed = |t: Vec<Tuple>| {
+            let mut t = presorted(t);
+            t.reverse();
+            t
+        };
+        let orders = [
+            ("random", left.clone(), right.clone()),
+            (
+                "presorted",
+                presorted(left.clone()),
+                presorted(right.clone()),
+            ),
+            ("reversed", reversed(left.clone()), reversed(right.clone())),
+        ];
+        for (order, left, right) in orders {
+            for adaptive in [false, true] {
+                for spec in AlgorithmSpec::all(4) {
+                    let cfg = small_cfg(6, spec).with_adaptive_runs(adaptive);
+                    let join = SortMergeJoin::new(cfg);
+                    let outcome = join.join_vecs_count(left.clone(), right.clone()).unwrap();
+                    assert_eq!(
+                        outcome.matches, expected,
+                        "algorithm {spec} (adaptive={adaptive}) produced the wrong number \
+                         of matches on {order} input"
+                    );
+                    // Only the up/down policy forms reversed runs, and it
+                    // must form them on descending input; the join merge
+                    // reads them back to front.
+                    let reversed_runs = outcome
+                        .left_split
+                        .runs
+                        .iter()
+                        .chain(&outcome.right_split.runs)
+                        .filter(|r| r.dir == RunDirection::Reversed)
+                        .count();
+                    if !adaptive || spec.formation == RunFormation::Quicksort {
+                        assert_eq!(reversed_runs, 0, "{spec} on {order} input");
+                    } else if order == "reversed" {
+                        assert!(reversed_runs > 0, "{spec} formed no reversed runs");
+                    }
+                }
+            }
         }
     }
 

@@ -1,11 +1,16 @@
 //! The split phase: consuming the input relation and producing sorted runs
 //! under a fluctuating memory budget.
 //!
-//! Three in-memory sorting methods are implemented (paper §2.1 / §3.1):
+//! Three in-memory sorting methods are implemented (paper §2.1 / §3.1 / §7):
 //!
 //! * [`quicksort`] — fill memory, sort, write the whole run (`quick`);
-//! * [`replacement`] — replacement selection, writing either one page at a
-//!   time (`repl1`) or N-page blocks (`replN`).
+//! * [`replacement`] — replacement selection writing either one page at a
+//!   time (`repl1`) or N-page blocks (`replN`);
+//! * [`replacement`] with memory-tracking block writes (`adapt`).
+//!
+//! Both replacement-selection methods run the same engine, with classic
+//! ascending runs or up/down runs as chosen by
+//! [`SortConfig::adaptive_runs`].
 //!
 //! All methods poll the [`MemoryBudget`] before every page they absorb and
 //! react to shortages as described in the paper: Quicksort must sort and write
@@ -44,12 +49,13 @@ pub struct SplitStats {
     pub finished_at: f64,
     /// Number of times the method had to shed pages due to a memory shortage.
     pub shrink_events: usize,
-    /// Natural-run streaks detected in the input (adaptive run formation
-    /// only; always 0 with [`SortConfig::adaptive_runs`] off).
+    /// Natural-run streaks of at least one page detected in the input by
+    /// the up/down run policy. Always 0 for the classic policy
+    /// ([`SortConfig::adaptive_runs`] off) and for Quicksort.
     pub natural_runs: usize,
-    /// Tuples absorbed through the O(1) natural-run path instead of the
-    /// selection heap (adaptive run formation only; always 0 with the knob
-    /// off).
+    /// Tuples the up/down run policy absorbed through its O(1) natural-run
+    /// tail instead of the selection heap. Always 0 for the classic policy
+    /// and for Quicksort.
     pub natural_tuples: usize,
 }
 
@@ -115,22 +121,9 @@ where
 {
     match cfg.algorithm.formation {
         RunFormation::Quicksort => quicksort::form_runs(cfg, budget, input, store, env),
-        RunFormation::ReplacementSelect { block_pages } if cfg.adaptive_runs => {
-            replacement::form_runs_ordered(cfg, budget, input, store, env, block_pages)
+        RunFormation::ReplacementSelect { .. } | RunFormation::AdaptiveReplacement => {
+            replacement::form_runs(cfg, budget, input, store, env)
         }
-        RunFormation::ReplacementSelect { block_pages } => {
-            replacement::form_runs(cfg, budget, input, store, env, block_pages)
-        }
-        RunFormation::AdaptiveReplacement {
-            min_block,
-            max_block,
-        } if cfg.adaptive_runs => replacement::form_runs_ordered_adaptive(
-            cfg, budget, input, store, env, min_block, max_block,
-        ),
-        RunFormation::AdaptiveReplacement {
-            min_block,
-            max_block,
-        } => replacement::form_runs_adaptive(cfg, budget, input, store, env, min_block, max_block),
     }
 }
 
@@ -163,7 +156,8 @@ mod tests {
             .with_algorithm(AlgorithmSpec {
                 formation,
                 ..AlgorithmSpec::recommended()
-            });
+            })
+            .with_adaptive_runs(false);
         let budget = MemoryBudget::new(mem_pages);
         let mut input = VecSource::from_tuples(random_tuples(n_tuples, 42), cfg.tuples_per_page());
         let mut store = MemStore::new();
@@ -256,7 +250,13 @@ mod tests {
     fn presorted_input_gives_single_replacement_run() {
         // Replacement selection on already-sorted input produces one run
         // regardless of memory size (every incoming key >= last output).
-        let cfg = SortConfig::default().with_memory_pages(4);
+        let cfg = SortConfig::default()
+            .with_memory_pages(4)
+            .with_algorithm(AlgorithmSpec {
+                formation: RunFormation::repl(1),
+                ..AlgorithmSpec::recommended()
+            })
+            .with_adaptive_runs(false);
         let budget = MemoryBudget::new(4);
         let tuples: Vec<Tuple> = (0..32 * 20)
             .map(|k| Tuple::synthetic(k as u64, 256))
@@ -264,8 +264,7 @@ mod tests {
         let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
         let mut store = MemStore::new();
         let mut env = CountingEnv::new();
-        let stats =
-            replacement::form_runs(&cfg, &budget, &mut input, &mut store, &mut env, 1).unwrap();
+        let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env).unwrap();
         assert_eq!(stats.run_count(), 1);
         assert_eq!(stats.runs[0].tuples, 32 * 20);
     }
@@ -274,7 +273,13 @@ mod tests {
     fn reverse_sorted_input_gives_memory_sized_replacement_runs() {
         // Worst case for replacement selection: every incoming key is smaller
         // than the last output, so runs are roughly memory-sized.
-        let cfg = SortConfig::default().with_memory_pages(4);
+        let cfg = SortConfig::default()
+            .with_memory_pages(4)
+            .with_algorithm(AlgorithmSpec {
+                formation: RunFormation::repl(1),
+                ..AlgorithmSpec::recommended()
+            })
+            .with_adaptive_runs(false);
         let budget = MemoryBudget::new(4);
         let n = 32 * 20;
         let tuples: Vec<Tuple> = (0..n)
@@ -284,8 +289,7 @@ mod tests {
         let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
         let mut store = MemStore::new();
         let mut env = CountingEnv::new();
-        let stats =
-            replacement::form_runs(&cfg, &budget, &mut input, &mut store, &mut env, 1).unwrap();
+        let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env).unwrap();
         assert!(
             stats.run_count() >= 4,
             "expected many runs, got {}",

@@ -327,7 +327,8 @@ mod tests {
     fn run_parallel(workers: usize, n_tuples: usize, mem: usize) -> (SplitStats, MemStore) {
         let cfg = SortConfig::default()
             .with_memory_pages(mem)
-            .with_algorithm(AlgorithmSpec::recommended());
+            .with_algorithm(AlgorithmSpec::recommended())
+            .with_adaptive_runs(false);
         let budget = MemoryBudget::new(mem);
         let parts = VecSource::from_tuples(random_tuples(n_tuples, 11), cfg.tuples_per_page())
             .partition(workers)

@@ -143,14 +143,10 @@ impl Default for ServerBuilder {
             io_threads: 0,
             io_pipeline: 0,
             cpu_threads: 0,
-            // The real serving environment defaults adaptive run formation
-            // on; the simulator (which reproduces the paper's figures with
-            // classic replacement selection) keeps it off.
             base_cfg: SortConfig::default()
                 .with_page_size(4096)
                 .with_tuple_size(64)
-                .with_memory_pages(16)
-                .with_adaptive_runs(true),
+                .with_memory_pages(16),
             ingest_depth: 8,
             egress_chunk: 4096,
             tenants: HashMap::new(),

@@ -263,33 +263,46 @@ fn split_phase_runs_are_sorted_and_cover_input() {
         let input = arbitrary_tuples(&mut rng, 3_000, 64);
         let block = rng.gen_range(1usize..8);
         let mem = rng.gen_range(2usize..10);
-        let cfg = small_cfg(
-            mem,
-            AlgorithmSpec::new(
-                RunFormation::repl(block),
-                MergePolicy::Optimized,
-                MergeAdaptation::DynamicSplitting,
-            ),
-        );
-        let budget = MemoryBudget::new(mem);
-        let mut env = masort_core::env::CountingEnv::new();
-        let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let stats =
-            masort_core::run_formation::form_runs(&cfg, &budget, &mut source, &mut store, &mut env)
-                .unwrap();
-        let mut all = Vec::new();
-        for run in &stats.runs {
-            let tuples = verify::collect_run(&mut store, run.id).unwrap();
-            assert!(
-                verify::is_sorted(&tuples),
-                "case {case}: run {} not sorted",
-                run.id
-            );
-            assert_eq!(tuples.len(), run.tuples);
-            all.extend(tuples);
+        // Both run policies: classic (ascending runs only) and up/down.
+        for adaptive in [false, true] {
+            let cfg = small_cfg(
+                mem,
+                AlgorithmSpec::new(
+                    RunFormation::repl(block),
+                    MergePolicy::Optimized,
+                    MergeAdaptation::DynamicSplitting,
+                ),
+            )
+            .with_adaptive_runs(adaptive);
+            let budget = MemoryBudget::new(mem);
+            let mut env = masort_core::env::CountingEnv::new();
+            let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
+            let mut store = MemStore::new();
+            let stats = masort_core::run_formation::form_runs(
+                &cfg,
+                &budget,
+                &mut source,
+                &mut store,
+                &mut env,
+            )
+            .unwrap();
+            let mut all = Vec::new();
+            for run in &stats.runs {
+                let mut tuples = verify::collect_run(&mut store, run.id).unwrap();
+                assert_eq!(tuples.len(), run.tuples);
+                if run.dir == RunDirection::Reversed {
+                    assert!(adaptive, "case {case}: classic run {} reversed", run.id);
+                    tuples.reverse();
+                }
+                assert!(
+                    verify::is_sorted(&tuples),
+                    "case {case} adaptive={adaptive}: run {} not sorted in its direction",
+                    run.id
+                );
+                all.extend(tuples);
+            }
+            assert!(verify::is_key_permutation(&input, &all), "case {case}");
         }
-        assert!(verify::is_key_permutation(&input, &all), "case {case}");
     }
 }
 
