@@ -750,24 +750,28 @@ mod tests {
         assert_eq!(total, expect, "split lost or duplicated tuples");
     }
 
+    /// Split random input under one run policy and check the runs are
+    /// directed, cover the input and beat load-sort-store's length.
+    fn check_random_split(adaptive: bool) {
+        let n = 32 * 60;
+        let (stats, mut store) = split(random_tuples(n, 7), 8, 6, adaptive);
+        if !adaptive {
+            assert!(stats.runs.iter().all(|r| r.dir == RunDirection::Forward));
+        }
+        assert_directed_runs_cover(&stats, &mut store, n);
+        // On random input runs of either direction keep the expected
+        // length of classic replacement selection (~2x memory),
+        // comfortably above load-sort-store's 1x.
+        assert!(
+            stats.avg_run_pages() > 8.0,
+            "adaptive={adaptive}: avg run pages {} too short",
+            stats.avg_run_pages()
+        );
+    }
+
     #[test]
     fn produces_sorted_runs_covering_all_tuples() {
-        for adaptive in [false, true] {
-            let n = 32 * 60;
-            let (stats, mut store) = split(random_tuples(n, 7), 8, 6, adaptive);
-            if !adaptive {
-                assert!(stats.runs.iter().all(|r| r.dir == RunDirection::Forward));
-            }
-            assert_directed_runs_cover(&stats, &mut store, n);
-            // On random input runs of either direction keep the expected
-            // length of classic replacement selection (~2x memory),
-            // comfortably above load-sort-store's 1x.
-            assert!(
-                stats.avg_run_pages() > 8.0,
-                "adaptive={adaptive}: avg run pages {} too short",
-                stats.avg_run_pages()
-            );
-        }
+        check_random_split(false);
     }
 
     #[test]
@@ -820,8 +824,9 @@ mod tests {
         assert_eq!(s6.total_tuples(), n);
     }
 
-    #[test]
-    fn shrink_mid_split_frees_memory_and_records_event() {
+    /// Shrink the budget to a single page mid-split under one run policy
+    /// and check the shortage is met without losing tuples.
+    fn check_shrink_mid_split(adaptive: bool) {
         // An env that shrinks the budget to a single page once the clock passes 0.05 s.
         struct ShrinkingEnv {
             clock: f64,
@@ -844,25 +849,28 @@ mod tests {
                 true
             }
         }
-        for adaptive in [false, true] {
-            let cfg = repl_cfg(8, 6, adaptive);
-            let tpp = cfg.tuples_per_page();
-            let budget = MemoryBudget::new(8);
-            let mut input = VecSource::from_tuples(random_tuples(32 * 30, 3), tpp);
-            let mut store = MemStore::new();
-            let mut env = ShrinkingEnv {
-                clock: 0.0,
-                fired: false,
-            };
-            let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env).unwrap();
-            assert!(env.fired, "adaptive={adaptive}");
-            assert!(stats.shrink_events >= 1);
-            assert_eq!(stats.total_tuples(), 32 * 30);
-            // The shortage must have been satisfied (delay recorded, none pending).
-            assert!(!budget.shrink_pending());
-            assert!(budget.delay_count() >= 1);
-            assert_directed_runs_cover(&stats, &mut store, 32 * 30);
-        }
+        let cfg = repl_cfg(8, 6, adaptive);
+        let tpp = cfg.tuples_per_page();
+        let budget = MemoryBudget::new(8);
+        let mut input = VecSource::from_tuples(random_tuples(32 * 30, 3), tpp);
+        let mut store = MemStore::new();
+        let mut env = ShrinkingEnv {
+            clock: 0.0,
+            fired: false,
+        };
+        let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env).unwrap();
+        assert!(env.fired, "adaptive={adaptive}");
+        assert!(stats.shrink_events >= 1);
+        assert_eq!(stats.total_tuples(), 32 * 30);
+        // The shortage must have been satisfied (delay recorded, none pending).
+        assert!(!budget.shrink_pending());
+        assert!(budget.delay_count() >= 1);
+        assert_directed_runs_cover(&stats, &mut store, 32 * 30);
+    }
+
+    #[test]
+    fn shrink_mid_split_frees_memory_and_records_event() {
+        check_shrink_mid_split(false);
     }
 
     #[test]
@@ -939,6 +947,16 @@ mod tests {
     }
 
     // -- up/down policy ----------------------------------------------------
+
+    #[test]
+    fn ordered_mode_random_input_covers_all_tuples() {
+        check_random_split(true);
+    }
+
+    #[test]
+    fn ordered_mode_survives_shrink() {
+        check_shrink_mid_split(true);
+    }
 
     #[test]
     fn ordered_mode_presorted_input_is_one_forward_run() {
